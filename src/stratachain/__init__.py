@@ -19,14 +19,14 @@ from .matroid import (DEFAULT_MAX_GROUND, OrientedMatroidClass, SignedVector,
                       enumerate_circuits, top_cycle_matroid)
 from .simplicial import SimplicialComplex, normalize_cell
 from .stratify import (Filtration, Stratification, Stratum, build_filtration,
-                       extract_strata, is_sphere, manifold_cells,
+                       extract_strata, manifold_cells,
                        orient_stratum, verify_certificate)
 from .taut import (CircleCover, CompletedSurface, Constant, GraphArc,
                    GraphInvariant, SurfaceData, TautInvariant, Word,
                    attaching, build_invariant, check_taut, complete_surface,
                    graph_invariant, homeomorphic)
-from .words import (abelianize, canonical_cyclic_word, canonical_up_to_inversion,
-                    cyclic_reduce, invert_word, letter, letter_stratum)
+from .words import (abelianize, canonical_cyclic_word, cyclic_reduce,
+                    invert_word, letter, letter_stratum)
 
 __version__ = "1.0.0"
 
@@ -39,11 +39,11 @@ __all__ = [
     "SurfaceData", "TautInvariant", "UnsupportedDimensionError", "Word",
     "abelianize", "assemble", "attaching", "build_filtration",
     "build_invariant", "builtin_complex", "canonical_cyclic_word",
-    "canonical_reorientation_class", "canonical_up_to_inversion",
+    "canonical_reorientation_class",
     "chain_group", "check_taut", "complete_surface", "complex_matroid",
     "cycles_to_simplicial", "cyclic_reduce", "enumerate_circuits",
     "extract_strata", "graph_invariant", "homeomorphic", "invert_word",
-    "is_sphere", "letter", "letter_stratum", "manifold_cells",
+    "letter", "letter_stratum", "manifold_cells",
     "normalize_cell", "orient_stratum", "simplicial_top_cycles_dim",
     "top_cycle_matroid", "top_homology_dim", "verify_certificate",
 ]

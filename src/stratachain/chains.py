@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import InternalCheckError
 from .linalg import RationalMatrix
-from .simplicial import SimplicialComplex, facets_of
-from .stratify import Stratification, facet_sign
+from .simplicial import SimplicialComplex
+from .stratify import Stratification, signed_boundary
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,6 @@ class StrataChainComplex:
     def top_homology_dim(self) -> int:
         return len(self.cycle_basis)
 
-    @property
-    def groups(self) -> tuple:
-        return tuple(CoordinateSpace(dim=d, axis_labels=a)
-                     for d, a in zip(self.dims, self.axes))
-
 
 def chain_group(strat, k: int) -> CoordinateSpace:
     """The level-k chain group of a stratification (or of a complex).
@@ -63,20 +58,6 @@ def chain_group(strat, k: int) -> CoordinateSpace:
         return CoordinateSpace(dim=0, axis_labels=())
     axes = tuple(s.index for s in strat.level_strata(k) if s.orientable)
     return CoordinateSpace(dim=len(axes), axis_labels=axes)
-
-
-def _generator_boundary(stratum):
-    """Simplicial boundary chain of the stratum generator, as cell -> int."""
-    acc = {}
-    for c in stratum.cells:
-        s = stratum.generator[c]
-        for f in facets_of(c):
-            v = acc.get(f, 0) + s * facet_sign(c, f)
-            if v:
-                acc[f] = v
-            elif f in acc:
-                del acc[f]
-    return acc
 
 
 def boundary_in_strata(strat: Stratification, k: int) -> RationalMatrix:
@@ -93,7 +74,7 @@ def boundary_in_strata(strat: Stratification, k: int) -> RationalMatrix:
     row_of = {s.index: i for i, s in enumerate(lower)}
     entries = []
     for j, up in enumerate(upper):
-        chain = _generator_boundary(up)
+        chain = signed_boundary(up.generator)
         for cell in chain:
             lv, _ = strat.stratum_of_cell(cell)
             if lv != k:
@@ -181,15 +162,7 @@ def cycles_to_simplicial(strat: Stratification, chain: StrataChainComplex):
             s = strata[axis]
             for c in s.cells:
                 acc[c] = acc.get(c, 0) + coeff * s.generator[c]
-        bnd = {}
-        for c, w in acc.items():
-            for f in facets_of(c):
-                v = bnd.get(f, 0) + w * facet_sign(c, f)
-                if v:
-                    bnd[f] = v
-                elif f in bnd:
-                    del bnd[f]
-        if bnd:
+        if signed_boundary(acc):
             raise InternalCheckError("expanded basis vector is not a cycle")
         out.append(acc)
     return out

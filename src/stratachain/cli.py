@@ -72,12 +72,12 @@ def _emit(report: dict, args) -> None:
 
 
 def cmd_analyze(args) -> int:
-    (K,) = _inputs(args, 1)
     clock = time.perf_counter
     timing = {}
 
-    t0 = clock()
     try:
+        (K,) = _inputs(args, 1)
+        t0 = clock()
         strat = Stratification(K)
     except UnsupportedDimensionError as e:
         raise _Exit(2, "error: %s" % e)
@@ -123,7 +123,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    pair = _inputs(args, 2)
+    try:
+        pair = _inputs(args, 2)
+    except UnsupportedDimensionError as e:
+        raise _Exit(2, "error: %s" % e)
     invariants = []
     for pos, K in enumerate(pair):
         label = K.name or "input %d" % pos
@@ -151,8 +154,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_matroid(args) -> int:
-    (K,) = _inputs(args, 1)
     try:
+        (K,) = _inputs(args, 1)
         strat = Stratification(K)
     except UnsupportedDimensionError as e:
         raise _Exit(2, "error: %s" % e)

@@ -49,18 +49,8 @@ class RationalMatrix:
                     m._columns[j][i] = v
         return m
 
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m._columns[i][i] = 1
-        return m
-
     def entry(self, i, j) -> Fraction:
         return Fraction(self._columns[j].get(i, 0))
-
-    def column(self, j) -> dict:
-        return dict(self._columns[j])
 
     def to_dense(self):
         out = [[0] * self.cols for _ in range(self.rows)]
@@ -110,22 +100,6 @@ class RationalMatrix:
                         del acc[i]
             out._columns[j] = acc
         return out
-
-    def apply(self, vector):
-        """Matrix times a dense vector (sequence of length cols)."""
-        if len(vector) != self.cols:
-            raise ValueError("vector length mismatch")
-        acc = {}
-        for j, w in enumerate(vector):
-            if not w:
-                continue
-            for i, v in self._columns[j].items():
-                s = acc.get(i, 0) + v * w
-                if s:
-                    acc[i] = s
-                elif i in acc:
-                    del acc[i]
-        return [acc.get(i, 0) for i in range(self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, RationalMatrix):

@@ -9,7 +9,6 @@ all sign flips of the axes, capped by ``max_ground``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import GroundCapError, InternalCheckError
@@ -70,25 +69,14 @@ def enumerate_circuits(cycle_basis, n):
     nullspace computation.  The result contains both signs of every circuit
     and is sorted by (support, signs).
     """
-    vectors = [tuple(Fraction(x) for x in v) for v in cycle_basis]
-    for v in vectors:
+    for v in cycle_basis:
         if len(v) != n:
             raise ValueError("basis vector length %d != ground size %d" % (len(v), n))
     # reduce to an independent basis of the span; the support-subset scan
-    # relies on coefficient kernels matching restricted cycle spaces
-    reduced = []
-    pivots = []
-    for v in vectors:
-        w = list(v)
-        for p, u in zip(pivots, reduced):
-            if w[p]:
-                f = w[p] / u[p]
-                w = [a - f * b for a, b in zip(w, u)]
-        piv = next((i for i, x in enumerate(w) if x), None)
-        if piv is not None:
-            reduced.append(w)
-            pivots.append(piv)
-    vectors = [tuple(w) for w in reduced]
+    # relies on coefficient kernels matching restricted cycle spaces.  The
+    # circuit set depends only on the span, not on the basis chosen.
+    rows, pivots = RationalMatrix.from_dense(list(cycle_basis))._rref()
+    vectors = rows[:len(pivots)]
     k = len(vectors)
     out = []
     if k == 0 or n == 0:

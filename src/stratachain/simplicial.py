@@ -148,42 +148,6 @@ class SimplicialComplex:
 
     # -- structure --------------------------------------------------------
 
-    def connected_components(self):
-        """Partition of the cells by topological connectivity.
-
-        Components are returned as frozensets of cells, ordered by their
-        smallest vertex.  The empty complex has no components.
-        """
-        parent = {v: v for v in self.vertices()}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for c in self._cells:
-            for w in c[1:]:
-                ra, rb = find(c[0]), find(w)
-                if ra != rb:
-                    parent[rb] = ra
-        groups = {}
-        for c in self._cells:
-            groups.setdefault(find(c[0]), set()).add(c)
-        return [frozenset(groups[r]) for r in sorted(groups)]
-
-    def link(self, cell) -> "SimplicialComplex":
-        """The link of a cell: all t disjoint from it with t + cell present."""
-        s = normalize_cell(cell)
-        if s not in self._cells:
-            raise ComplexError("cell %r not in complex" % (s,))
-        ss = set(s)
-        out = []
-        for u in self._cells:
-            if len(u) > len(s) and ss.issubset(u):
-                out.append(tuple(v for v in u if v not in ss))
-        return SimplicialComplex.from_closed_cells(out, verify=False)
-
     def boundary_matrix(self, k) -> RationalMatrix:
         """Simplicial boundary from k-chains to (k-1)-chains.
 
@@ -251,6 +215,14 @@ class SimplicialComplex:
 
     @classmethod
     def from_dict(cls, data) -> "SimplicialComplex":
+        """Parse a ``{"maximal_simplices": [...], "name": ...}`` document.
+
+        Documents above the stratifier's dimension cap raise
+        UnsupportedDimensionError before any simplex is closed under faces
+        (2^n cells for n vertices); malformed simplices are reported first.
+        """
+        from .stratify import MAX_DIMENSION
+
         if not isinstance(data, dict):
             raise ComplexError("input must be a JSON object")
         if "maximal_simplices" not in data:
@@ -261,12 +233,17 @@ class SimplicialComplex:
         name = data.get("name")
         if name is not None and not isinstance(name, str):
             raise ComplexError("'name' must be a string")
+        if any(len(s) > MAX_DIMENSION + 1 for s in sims):
+            dim = max(len(normalize_cell(s)) for s in sims) - 1
+            raise UnsupportedDimensionError(
+                "stratification supports dimension <= %d, got %d"
+                % (MAX_DIMENSION, dim))
         return cls(sims, name=name)
 
     @classmethod
     def from_json(cls, text) -> "SimplicialComplex":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ComplexError("invalid JSON: %s" % exc) from exc
         return cls.from_dict(data)

@@ -8,8 +8,8 @@ propagation, or a re-checkable witness of non-orientability.
 
 Manifold points are recognized through links: a cell's interior is an
 m-manifold point iff its link triangulates a sphere of dimension
-m - dim(cell) - 1.  Sphere recognition is exact for link dimensions up to 2,
-which covers input complexes up to dimension 3.
+m - dim(cell) - 1.  The test is exact for link dimensions up to 2, which
+covers input complexes up to dimension 3.
 """
 
 from __future__ import annotations
@@ -33,48 +33,21 @@ def facet_sign(cell, facet) -> int:
     raise ValueError("%r is not a facet of %r" % (facet, cell))
 
 
-def is_sphere(K: SimplicialComplex, d: int) -> bool:
-    """Decide whether K triangulates a d-sphere, for d in {-1, 0, 1, 2}.
+def signed_boundary(chain) -> dict:
+    """Simplicial boundary of a chain given as cell -> coefficient.
 
-    d = -1 is the empty complex; d = 0 two isolated vertices; d = 1 a single
-    cycle; d = 2 a connected closed surface with Euler characteristic 2.
-    Dimensions outside the supported range raise UnsupportedDimensionError.
+    Sums coefficient times :func:`facet_sign` over the facets of each cell;
+    faces whose total is zero are left out.
     """
-    if d < -1 or d > 2:
-        raise UnsupportedDimensionError(
-            "sphere recognition supports dimensions -1..2, got %d" % d)
-    if d == -1:
-        return len(K) == 0
-    if d == 0:
-        return len(K) == 2 and K.n_cells(0) == 2
-    if d == 1:
-        if K.dimension != 1 or len(K.connected_components()) != 1:
-            return False
-        degree = {v: 0 for v in K.vertices()}
-        for (a, b) in K.cells(1):
-            degree[a] += 1
-            degree[b] += 1
-        return all(n == 2 for n in degree.values())
-    # d == 2
-    if K.dimension != 2 or len(K) == 0:
-        return False
-    if len(K.connected_components()) != 1:
-        return False
-    if K.euler_characteristic() != 2:
-        return False
-    edge_use = {e: 0 for e in K.cells(1)}
-    covered = set()
-    for t in K.cells(2):
-        for f in facets_of(t):
-            edge_use[f] += 1
-        covered.update(t)
-    if any(n != 2 for n in edge_use.values()):
-        return False
-    if len(covered) != K.n_cells(0):
-        return False  # not pure: an isolated vertex or edge
-    if any(a not in covered or b not in covered for (a, b) in edge_use):
-        return False
-    return all(is_sphere(K.link((v,)), 1) for v in K.vertices())
+    acc = {}
+    for c, w in chain.items():
+        for f in facets_of(c):
+            v = acc.get(f, 0) + w * facet_sign(c, f)
+            if v:
+                acc[f] = v
+            elif f in acc:
+                del acc[f]
+    return acc
 
 
 def _links(K: SimplicialComplex) -> dict:
@@ -94,11 +67,38 @@ def _links(K: SimplicialComplex) -> dict:
     return links
 
 
+def _connected(link) -> bool:
+    """Whether a link cell list is non-empty with a connected 1-skeleton."""
+    adj = {}
+    for t in link:
+        if len(t) == 1:
+            adj.setdefault(t[0], [])
+        elif len(t) == 2:
+            adj.setdefault(t[0], []).append(t[1])
+            adj.setdefault(t[1], []).append(t[0])
+    if not adj:
+        return False
+    start = next(iter(adj))
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(adj)
+
+
 def manifold_cells(K: SimplicialComplex, m: int) -> tuple:
     """Cells whose interiors are m-manifold points of K.
 
-    Requires 0 <= m <= 3 and dim(K) <= m.  The test per cell of dimension j
-    is the sphere condition on its link in dimension m - j - 1.
+    Requires 0 <= m <= 3 and dim(K) <= m.  A j-cell is one iff its link L
+    is a d-sphere, d = m - j - 1.  Cells are decided top-down, so when a
+    j-cell comes up every (j+1)-coface, whose link is the link in L of a
+    vertex of L, is already decided.  For d <= 2, L is a d-sphere iff it is
+    empty (d = -1), or else every such coface is a manifold cell (so L is
+    a closed pseudomanifold whose vertex links are (d-1)-spheres),
+    chi(L) = 1 + (-1)^d, and L is connected when d >= 1.
     """
     if not 0 <= m <= MAX_DIMENSION:
         raise UnsupportedDimensionError("manifold dimension must be 0..3, got %d" % m)
@@ -108,10 +108,22 @@ def manifold_cells(K: SimplicialComplex, m: int) -> tuple:
             % (K.dimension, m))
     links = _links(K)
     out = []
-    for c in K.all_cells():
-        lk = SimplicialComplex.from_closed_cells(links[c], verify=False)
-        if is_sphere(lk, m - len(c)):
-            out.append(c)
+    bad_facets = set()  # facets of cells found not to be manifold cells
+    for j in range(K.dimension, -1, -1):
+        d = m - j - 1
+        for c in K.cells(j):
+            link = links[c]
+            if d == -1:
+                ok = not link
+            elif c in bad_facets:
+                ok = False
+            else:
+                chi = sum(1 if len(t) % 2 else -1 for t in link)
+                ok = chi == 1 + (-1) ** d and (d == 0 or _connected(link))
+            if ok:
+                out.append(c)
+            else:
+                bad_facets.update(facets_of(c))
     return tuple(sorted(out, key=lambda c: (len(c), c)))
 
 
@@ -282,7 +294,7 @@ def orient_stratum(cells, filtration: Filtration, k: int, root=None):
                 return False, None, cert
     if len(sign) != len(cells):
         raise InternalCheckError("stratum cells are not connected")
-    _check_generator_boundary(cells, sign, filtration, k)
+    _check_generator_boundary(sign, filtration, k)
     return True, sign, None
 
 
@@ -303,17 +315,9 @@ def _reversing_cycle(tree, cur, nbr, face, rel):
     return tuple(cycle)
 
 
-def _check_generator_boundary(cells, sign, filtration, k):
+def _check_generator_boundary(sign, filtration, k):
     below = filtration.cells_below(k)
-    acc = {}
-    for c in cells:
-        for f in facets_of(c):
-            s = acc.get(f, 0) + sign[c] * facet_sign(c, f)
-            if s:
-                acc[f] = s
-            elif f in acc:
-                del acc[f]
-    for f in acc:
+    for f in signed_boundary(sign):
         if f not in below:
             raise InternalCheckError(
                 "generator boundary touches %r outside the lower level" % (f,))

@@ -81,11 +81,6 @@ def canonical_cyclic_word(word):
     return least_rotation(cyclic_reduce(word))
 
 
-def canonical_up_to_inversion(word):
-    """Representative ignoring the direction of travel."""
-    return min(canonical_cyclic_word(word), canonical_cyclic_word(invert_word(word)))
-
-
 def abelianize(word, n_strata) -> tuple:
     """Net signed crossing count per stratum.
 

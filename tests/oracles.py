@@ -1,7 +1,9 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 Deliberately structured unlike the library: dense Fraction elimination,
-full subset scans, no pruning.
+full subset scans, no pruning, and manifold points decided by a recursive
+sphere recognizer on explicitly built links.  Nothing here imports the
+library; complexes are plain sets of sorted vertex tuples.
 """
 
 from fractions import Fraction
@@ -91,3 +93,67 @@ def random_subspace(rng, max_n=10):
             Fraction(rng.randint(-4, 4), rng.randint(1, 3))
             if rng.random() < 0.7 else Fraction(0) for _ in range(n)))
     return basis, n
+
+
+def link(cells, s):
+    """Cells disjoint from s whose union with s is a cell."""
+    ss = set(s)
+    return {tuple(v for v in u if v not in ss)
+            for u in cells if len(u) > len(s) and ss.issubset(u)}
+
+
+def n_components(cells):
+    """Number of connected components (0 for the empty complex)."""
+    parent = {c[0]: c[0] for c in cells if len(c) == 1}
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for c in cells:
+        for w in c[1:]:
+            parent[find(w)] = find(c[0])
+    return len({find(v) for v in parent})
+
+
+def is_sphere(cells, d):
+    """Recognize a triangulated d-sphere, d in -1..2, from its cell set.
+
+    d = -1: empty; d = 0: two points; d = 1: one cycle; d = 2: a connected,
+    pure, closed surface with Euler characteristic 2 whose vertex links
+    are all cycles.
+    """
+    if not -1 <= d <= 2:
+        raise ValueError("sphere recognition supports dimensions -1..2")
+    if d == -1:
+        return not cells
+    if d == 0:
+        return len(cells) == 2 and all(len(c) == 1 for c in cells)
+    dim = max((len(c) - 1 for c in cells), default=-1)
+    if dim != d or n_components(cells) != 1:
+        return False
+    verts = [c for c in cells if len(c) == 1]
+    if d == 1:
+        return all(sum(1 for e in cells if len(e) == 2 and v[0] in e) == 2
+                   for v in verts)
+    chi = sum((-1) ** (len(c) - 1) for c in cells)
+    if chi != 2:
+        return False
+    edge_use = {e: 0 for e in cells if len(e) == 2}
+    covered = set()
+    for t in cells:
+        if len(t) == 3:
+            for e in combinations(t, 2):
+                edge_use[e] += 1
+            covered.update(t)
+    if any(n != 2 for n in edge_use.values()):
+        return False
+    if len(covered) != len(verts):
+        return False
+    return all(is_sphere(link(cells, v), 1) for v in verts)
+
+
+def manifold_cell_set(cells, m):
+    """Cells whose link is an (m - dim - 1)-sphere: the m-manifold points."""
+    return {c for c in cells if is_sphere(link(cells, c), m - len(c))}

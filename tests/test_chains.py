@@ -69,9 +69,10 @@ def test_cycle_basis_vectors_are_cycles(corpus):
         strat = Stratification(K)
         chain = assemble(strat)
         if chain.boundaries:
-            top = chain.boundaries[-1]
+            top = chain.boundaries[-1].to_dense()
             for vec in chain.cycle_basis:
-                assert all(x == 0 for x in top.apply(vec)), name
+                assert all(sum(a * x for a, x in zip(row, vec)) == 0
+                           for row in top), name
 
 
 def test_cycles_expand_to_simplicial_cycles(corpus):
@@ -118,7 +119,6 @@ def test_chain_group_matches_assembled_axes(corpus):
             space = chain_group(strat, k)
             assert space.dim == chain.dims[k], name
             assert space.axis_labels == chain.axes[k], name
-            assert space == chain.groups[k], name
         assert chain_group(K, strat.dimension + 1).dim == 0
         assert chain_group(strat, -1).axis_labels == ()
 

@@ -91,6 +91,28 @@ def test_analyze_dimension_cap(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_dimension_cap_rejected_before_face_closure(tmp_path, capsys,
+                                                   monkeypatch):
+    from stratachain import simplicial
+
+    def no_closure(cell):
+        raise AssertionError("closed %d vertices under faces" % len(cell))
+
+    monkeypatch.setattr(simplicial, "faces_of", no_closure)
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"maximal_simplices": [[0, 1], list(range(40))]}))
+    for command in ("analyze", "matroid", "compare"):
+        args = [command, str(p)] + ([str(p)] if command == "compare" else [])
+        code, out, err = run(capsys, *args)
+        assert code == 2 and out == "", command
+        assert err == "error: stratification supports dimension <= 3, " \
+                      "got 39\n", command
+    # a malformed simplex is still an input error, even beside a big one
+    p.write_text('{"maximal_simplices": [[0, 1, 2, 3, 4, 5], [1, 1]]}')
+    code, _, err = run(capsys, "analyze", str(p))
+    assert code == 1 and "repeated vertices" in err
+
+
 def test_compare_true_with_certificate(tmp_path, capsys):
     p = tmp_path / "torus9.json"
     p.write_text(torus9().to_json())
@@ -152,6 +174,14 @@ def test_bad_json_exits_1(tmp_path, capsys):
     p.write_text("{nope")
     code, _, err = run(capsys, "analyze", str(p))
     assert code == 1 and "error:" in err
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "analyze", str(p))
+    assert code == 1 and out == ""
+    assert err.startswith("error: %s: invalid JSON: " % p)
 
 
 def test_unknown_builtin_exits_1(capsys):

@@ -37,7 +37,6 @@ def test_empty_complex():
     assert K.dimension == -1
     assert len(K) == 0
     assert K.euler_characteristic() == 0
-    assert K.connected_components() == []
 
 
 def test_vertices_need_not_be_contiguous():
@@ -62,32 +61,6 @@ def test_euler_characteristic_examples():
     assert cycle.euler_characteristic() == 0
     point = SimplicialComplex([(0,)])
     assert point.euler_characteristic() == 1
-
-
-def test_connected_components_examples():
-    two_edges = SimplicialComplex([(0, 1), (2, 3)])
-    assert len(two_edges.connected_components()) == 2
-    tetra_boundary = SimplicialComplex(
-        [c for c in faces_of((0, 1, 2, 3)) if len(c) == 3])
-    assert len(tetra_boundary.connected_components()) == 1
-
-
-def test_link_examples():
-    tetra_boundary = SimplicialComplex(
-        [c for c in faces_of((0, 1, 2, 3)) if len(c) == 3])
-    lk = tetra_boundary.link((0,))
-    assert lk.cell_counts() == {0: 3, 1: 3}
-    assert lk.euler_characteristic() == 0
-
-    triangle = SimplicialComplex([(0, 1, 2)])
-    assert triangle.link((0, 1)).cells(0) == ((2,),)
-
-    book3 = SimplicialComplex([(0, 1, 2), (0, 1, 3), (0, 1, 4)])
-    lk = book3.link((0, 1))
-    assert lk.cell_counts() == {0: 3}
-
-    with pytest.raises(ComplexError):
-        triangle.link((5,))
 
 
 def test_boundary_matrix_composition_is_zero():

@@ -1,11 +1,18 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from stratachain import (SimplicialComplex, Stratification,
                          UnsupportedDimensionError, build_filtration,
-                         builtin_complex, extract_strata, is_sphere,
-                         manifold_cells, orient_stratum, verify_certificate)
+                         builtin_complex, extract_strata, manifold_cells,
+                         orient_stratum, verify_certificate)
+from stratachain.corpus import pinched_sphere, torus9
 from stratachain.simplicial import faces_of
 from stratachain.stratify import facet_sign
+
+from conftest import cone, freudenthal
+from oracles import is_sphere, manifold_cell_set
 
 
 def tetra_boundary():
@@ -19,27 +26,75 @@ def test_facet_sign_alternates():
 
 
 def test_is_sphere_by_dimension():
-    assert is_sphere(SimplicialComplex([]), -1)
-    assert not is_sphere(SimplicialComplex([(0,)]), -1)
+    def cells(*simplices):
+        return SimplicialComplex(simplices).cell_set()
 
-    assert is_sphere(SimplicialComplex([(0,), (1,)]), 0)
-    assert not is_sphere(SimplicialComplex([(0,)]), 0)
-    assert not is_sphere(SimplicialComplex([(0, 1)]), 0)
+    assert is_sphere(cells(), -1)
+    assert not is_sphere(cells((0,)), -1)
 
-    cycle = SimplicialComplex([(0, 1), (1, 2), (0, 2)])
-    assert is_sphere(cycle, 1)
-    path = SimplicialComplex([(0, 1), (1, 2)])
-    assert not is_sphere(path, 1)
-    two_cycles = SimplicialComplex([(0, 1), (1, 2), (0, 2),
-                                    (3, 4), (4, 5), (3, 5)])
-    assert not is_sphere(two_cycles, 1)
+    assert is_sphere(cells((0,), (1,)), 0)
+    assert not is_sphere(cells((0,)), 0)
+    assert not is_sphere(cells((0, 1)), 0)
 
-    assert is_sphere(tetra_boundary(), 2)
-    assert not is_sphere(builtin_complex("torus7"), 2)
-    assert not is_sphere(builtin_complex("disk"), 2)
+    assert is_sphere(cells((0, 1), (1, 2), (0, 2)), 1)
+    assert not is_sphere(cells((0, 1), (1, 2)), 1)
+    assert not is_sphere(cells((0, 1), (1, 2), (0, 2),
+                               (3, 4), (4, 5), (3, 5)), 1)
 
-    with pytest.raises(UnsupportedDimensionError):
-        is_sphere(tetra_boundary(), 3)
+    assert is_sphere(tetra_boundary().cell_set(), 2)
+    assert not is_sphere(builtin_complex("torus7").cell_set(), 2)
+    assert not is_sphere(builtin_complex("disk").cell_set(), 2)
+
+    with pytest.raises(ValueError):
+        is_sphere(tetra_boundary().cell_set(), 3)
+
+
+def disjoint_union(A, B):
+    shift = max(A.vertices()) + 1
+    return SimplicialComplex(
+        list(A.maximal_cells())
+        + [tuple(v + shift for v in c) for c in B.maximal_cells()])
+
+
+def random_complex3(rng):
+    """Random complex of dimension <= 3.  Half of them start from three to
+    five tetrahedra of a 4-simplex boundary, so vertex links are often
+    2-spheres, before random simplices are added."""
+    n = rng.randint(5, 8)
+    facets = []
+    if rng.random() < 0.5:
+        tets = list(combinations(rng.sample(range(n), 5), 4))
+        facets += rng.sample(tets, rng.randint(3, 5))
+    facets += [rng.sample(range(n), rng.choice((1, 2, 3, 4)))
+               for _ in range(rng.randint(1, 6))]
+    return SimplicialComplex(facets)
+
+
+def test_manifold_cells_match_sphere_recognizer():
+    """manifold_cells equals the recursive sphere-recognizer oracle for
+    every m from dim(K) to 3 on 3,000 seeded random complexes of dimension
+    <= 3, on cones whose apex link is a sphere or another surface, a
+    pinched or wedged surface, or a disconnected one (two spheres; a
+    sphere and a torus, chi = 2), and on Freudenthal blocks."""
+    sphere2 = builtin_complex("sphere2")
+    fixed = [cone(S) for S in (sphere2, torus9(), builtin_complex("klein8"),
+                               builtin_complex("rp2_6"), pinched_sphere(),
+                               builtin_complex("wedge2spheres"),
+                               disjoint_union(sphere2, sphere2),
+                               disjoint_union(sphere2, torus9()))]
+    fixed += [freudenthal(1), freudenthal(2), freudenthal(3, periodic=True)]
+    rng = random.Random(20261017)
+    complexes = fixed + [random_complex3(rng) for _ in range(3000)]
+    sphere_links = {True: 0, False: 0}  # 2-dimensional vertex links seen
+    for i, K in enumerate(complexes):
+        cells = K.cell_set()
+        for m in range(max(K.dimension, 0), 4):
+            expected = manifold_cell_set(cells, m)
+            assert set(manifold_cells(K, m)) == expected, (i, m)
+            if m == 3:
+                for v in K.cells(0):
+                    sphere_links[v in expected] += 1
+    assert sphere_links[True] > 2000 and sphere_links[False] > 2000
 
 
 def test_manifold_cells_examples():
