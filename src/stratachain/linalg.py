@@ -75,15 +75,6 @@ class RationalMatrix:
                 t._columns[i][j] = v
         return t
 
-    def submatrix(self, row_indices, col_indices) -> "RationalMatrix":
-        rmap = {r: k for k, r in enumerate(row_indices)}
-        out = RationalMatrix(len(rmap), len(col_indices))
-        for k, j in enumerate(col_indices):
-            for i, v in self._columns[j].items():
-                if i in rmap:
-                    out._columns[k][rmap[i]] = v
-        return out
-
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d @ %dx%d"

@@ -9,10 +9,10 @@ all sign flips of the axes, capped by ``max_ground``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import gcd
 
 from .errors import GroundCapError, InternalCheckError
-from .linalg import RationalMatrix
+from .linalg import RationalMatrix, _primitive
 
 DEFAULT_MAX_GROUND = 16
 
@@ -64,48 +64,53 @@ class SignedVector:
 def enumerate_circuits(cycle_basis, n):
     """All circuits of the span of ``cycle_basis`` inside Q^n.
 
-    Support subsets are scanned in increasing size, skipping supersets of
-    supports already found, and each candidate is settled by an exact
-    nullspace computation.  The result contains both signs of every circuit
-    and is sorted by (support, signs).
+    Each circuit is, up to scale, the unique vector of the rank-k span that
+    vanishes on some k - 1 independent coordinates (an elementary vector).
+    From k independent primitive integer rows, a depth-first walk picks
+    such coordinates in increasing order, clearing each from the other rows
+    by fraction-free elimination and dropping its pivot row; the last row
+    left is a circuit.  The result holds both signs of every circuit, one
+    pair per support, sorted by (support, signs).
+
+    >>> [(sorted(c.positive), sorted(c.negative))
+    ...  for c in enumerate_circuits([(1, 0, -1), (0, 1, -1)], 3)]
+    [([0], [1]), ([1], [0]), ([0], [2]), ([2], [0]), ([1], [2]), ([2], [1])]
     """
     for v in cycle_basis:
         if len(v) != n:
             raise ValueError("basis vector length %d != ground size %d" % (len(v), n))
-    # reduce to an independent basis of the span; the support-subset scan
-    # relies on coefficient kernels matching restricted cycle spaces.  The
-    # circuit set depends only on the span, not on the basis chosen.
-    rows, pivots = RationalMatrix.from_dense(list(cycle_basis))._rref()
-    vectors = rows[:len(pivots)]
-    k = len(vectors)
-    out = []
-    if k == 0 or n == 0:
-        return out
-    matrix = RationalMatrix.from_entries(
-        n, k, ((i, j, vectors[j][i]) for j in range(k) for i in range(n)
-               if vectors[j][i]))
-    found_supports = []
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            sset = set(subset)
-            if any(f <= sset for f in found_supports):
-                continue
-            comp = [i for i in range(n) if i not in sset]
-            sub = matrix.submatrix(comp, range(k))
-            kernel = sub.kernel_basis()
-            if not kernel:
-                continue
-            if len(kernel) > 1:
-                raise InternalCheckError(
-                    "unpruned support with kernel dimension > 1")
-            coeffs = kernel[0]
-            vec = [sum(c * vectors[j][i] for j, c in enumerate(coeffs))
-                   for i in range(n)]
-            if {i for i, v in enumerate(vec) if v} != sset:
-                continue
-            sv = SignedVector.from_vector(vec)
-            out.extend((sv, sv.negate()))
-            found_supports.append(frozenset(sset))
+    reduced, pivots = RationalMatrix.from_dense(list(cycle_basis))._rref()
+    k = len(pivots)
+    if k == 0:
+        return []
+    seen = {}
+    stack = [([_primitive(r) for r in reduced[:k]], 0)]
+    while stack:
+        rows, start = stack.pop()
+        if len(rows) == 1:
+            pos = _mask(i for i, v in enumerate(rows[0]) if v > 0)
+            neg = _mask(i for i, v in enumerate(rows[0]) if v < 0)
+            if seen.setdefault(pos | neg, (pos, neg)) not in ((pos, neg), (neg, pos)):
+                raise InternalCheckError("circuit signs disagree on a support")
+            continue
+        # leave room for the len(rows) - 1 columns still to be chosen
+        for c in range(start, n - len(rows) + 2):
+            at = next((i for i, r in enumerate(rows) if r[c]), None)
+            if at is None:
+                continue  # c depends on the coordinates already chosen
+            pivot, pc = rows[at], rows[at][c]
+            rest = []
+            for r in rows[:at] + rows[at + 1:]:
+                rc = r[c]
+                if rc:
+                    r = [a * pc - rc * b for a, b in zip(r, pivot)]
+                    g = gcd(*r)
+                    if g > 1:
+                        r = [a // g for a in r]
+                rest.append(r)
+            stack.append((rest, c + 1))
+    out = [SignedVector(n, _unmask(p, n), _unmask(q, n)) for p, q in seen.values()]
+    out += [sv.negate() for sv in out]
     return sorted(out, key=SignedVector.sort_key)
 
 

@@ -69,6 +69,26 @@ def brute_circuit_set(basis, n):
     return out
 
 
+def is_circuit(basis, n, positive, negative):
+    """Whether span(basis) in R^n holds a vector with exactly this sign
+    pattern (up to negation) whose support cannot shrink: the vectors of
+    the span that vanish off the support must form a single line."""
+    vecs = [tuple(map(Fraction, v)) for v in basis]
+    support = positive | negative
+    rows = [[v[j] for v in vecs] for j in range(n) if j not in support]
+    line = []
+    for a in dense_kernel(rows, len(vecs)):
+        z = [sum(c * v[j] for c, v in zip(a, vecs)) for j in range(n)]
+        if any(z):
+            line.append(z)
+    if not line or len(dense_kernel(line, n)) != n - 1:
+        return False
+    z = line[0]
+    sign = (frozenset(j for j in range(n) if z[j] > 0),
+            frozenset(j for j in range(n) if z[j] < 0))
+    return sign in ((positive, negative), (negative, positive))
+
+
 def naive_min_encoding(pairs, n):
     """Full scan over all 2^n reorientations; minimum encoding list."""
     best = None

@@ -1,13 +1,15 @@
 import random
+from itertools import combinations
 
-from stratachain import (Stratification, assemble, builtin_complex,
-                         chain_group, cycles_to_simplicial,
-                         simplicial_top_cycles_dim, top_homology_dim)
-from stratachain.corpus import solid_tetrahedron
+from stratachain import (SimplicialComplex, Stratification, assemble,
+                         builtin_complex, chain_group, cycles_to_simplicial,
+                         simplicial_top_cycles_dim, top_cycle_matroid,
+                         top_homology_dim)
+from stratachain.corpus import solid_tetrahedron, torus9
 from stratachain.simplicial import facets_of
 from stratachain.stratify import facet_sign
 
-from conftest import random_complex
+from conftest import cone, freudenthal, random_complex, random_relabeling
 
 EXPECTED_TOP_HOMOLOGY = {
     "sphere2": 1, "torus7": 1, "klein8": 0, "rp2_6": 0, "disk": 0,
@@ -109,6 +111,34 @@ def test_random_complexes_match_oracle():
         K = random_complex(rng)
         chain = assemble(Stratification(K))
         assert top_homology_dim(chain) == simplicial_top_cycles_dim(K)
+
+
+def test_dimension3_chain_homology_and_relabeling():
+    """Freudenthal blocks, cones over surfaces and 3-spheres: the chain
+    identity holds, top homology equals the simplicial oracle and the
+    value known by construction, and random vertex relabelings keep top
+    homology and the matroid canonical form."""
+    sphere3 = list(combinations(range(5), 4))
+    wedge = sphere3 + [tuple(v + 4 for v in t) for t in sphere3]
+    inputs = [(freudenthal(1), 0), (freudenthal(2), 0),
+              (freudenthal(3, periodic=True), 1), (cone(torus9()), 0),
+              (cone(builtin_complex("klein8")), 0),
+              (cone(builtin_complex("sphere2")), 0),
+              (SimplicialComplex(sphere3), 1), (SimplicialComplex(wedge), 2)]
+    rng = random.Random(33)
+    for i, (K, top) in enumerate(inputs):
+        chain = assemble(Stratification(K))
+        assert chain.dimension == 3, i
+        for k in range(1, len(chain.boundaries)):
+            assert chain.boundaries[k - 1].matmul(
+                chain.boundaries[k]).is_zero(), i
+        assert top_homology_dim(chain) == simplicial_top_cycles_dim(K) == top, i
+        form = top_cycle_matroid(chain)[2].canonical_form
+        for _ in range(5):
+            L = K.relabel(random_relabeling(rng, K))
+            relabeled = assemble(Stratification(L))
+            assert top_homology_dim(relabeled) == top, i
+            assert top_cycle_matroid(relabeled)[2].canonical_form == form, i
 
 
 def test_chain_group_matches_assembled_axes(corpus):

@@ -57,11 +57,9 @@ def test_identity_and_matmul():
     assert A.matmul(B).to_dense() == [[Fraction(5, 2)], [1], [Fraction(5, 2)]]
 
 
-def test_transpose_and_submatrix():
+def test_transpose():
     A = RationalMatrix.from_dense([[1, 2, 3], [4, 5, 6]])
     assert A.transpose().to_dense() == [[1, 4], [2, 5], [3, 6]]
-    S = A.submatrix([1], [0, 2])
-    assert S.to_dense() == [[4, 6]]
 
 
 def test_rank_known_values():

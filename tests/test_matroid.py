@@ -1,15 +1,17 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from stratachain import (GroundCapError, SignedVector, Stratification,
-                         assemble, builtin_complex,
+from stratachain import (GroundCapError, InternalCheckError, SignedVector,
+                         Stratification, assemble, builtin_complex,
                          canonical_reorientation_class, complex_matroid,
                          enumerate_circuits, top_cycle_matroid)
 from stratachain.matroid import _min_encoding, circuit_pairs
 
-from oracles import brute_circuit_set, naive_min_encoding, random_subspace
+from oracles import (brute_circuit_set, is_circuit, naive_min_encoding,
+                     random_subspace)
 
 
 def as_sign_pairs(circuits):
@@ -65,6 +67,89 @@ def test_circuits_match_brute_force_oracle():
         basis, n = random_subspace(rng, max_n=8)
         got = as_sign_pairs(enumerate_circuits(basis, n))
         assert got == brute_circuit_set(basis, n)
+
+
+DEGENERATE_SPANS = {
+    "dependent generators": ([(1, 2, 0, -1, 3), (2, 4, 0, -2, 6),
+                              (0, 1, 1, 0, -1), (1, 3, 1, -1, 2)], 5),
+    "zero coordinate": ([(1, 0, 2, -1), (0, 0, 1, 1)], 4),
+    "repeated and parallel coordinates": ([(1, 1, 2, 0, -3, 1),
+                                           (0, 0, 0, 1, 1, 0)], 6),
+    "k = n": ([(1, 2, 0, 1), (0, 1, -1, 0), (3, 0, 1, 1), (1, 1, 1, 2)], 4),
+    "k = 1": ([(0, 3, -1, 0, 2)], 5),
+    "fractions": ([(Fraction(1, 2), Fraction(-2, 3), 0, Fraction(5, 4)),
+                   (Fraction(1, 3), 0, Fraction(7, 2), Fraction(-1, 6))], 4),
+}
+
+
+def test_circuits_of_degenerate_spans_match_oracle():
+    for name, (basis, n) in DEGENERATE_SPANS.items():
+        got = as_sign_pairs(enumerate_circuits(basis, n))
+        assert got == brute_circuit_set(basis, n), name
+    rng = random.Random(4417)
+    for i in range(60):
+        basis, n = random_subspace(rng, max_n=6)
+        # append a combination of the generators, a zero coordinate and a
+        # scaled copy of the first coordinate
+        combo = tuple(sum(rng.randint(-2, 2) * v[j] for v in basis)
+                      for j in range(n))
+        basis = [v + (0, 3 * v[0]) for v in basis + [combo]]
+        got = as_sign_pairs(enumerate_circuits(basis, n + 2))
+        assert got == brute_circuit_set(basis, n + 2), i
+
+
+def test_circuits_of_larger_subspaces_match_oracle():
+    for seed, n, k in ((11, 11, 5), (12, 12, 3), (13, 12, 4)):
+        rng = random.Random(seed)
+        basis = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(n)) for _ in range(k)]
+        got = as_sign_pairs(enumerate_circuits(basis, n))
+        assert got == brute_circuit_set(basis, n), (n, k)
+
+
+def test_circuits_at_ground_cap():
+    """Rank 8 in Q^16: every circuit comes with its negation on a distinct
+    support, and a seeded sample passes the dense Fraction check (all of
+    them would take the check about 20 s)."""
+    rng = random.Random(16)
+    n, k = 16, 8
+    basis = [tuple(rng.choice((-3, -2, -1, 0, 1, 2, 3)) for _ in range(n))
+             for _ in range(k)]
+    t0 = time.perf_counter()
+    circuits = enumerate_circuits(basis, n)
+    dt = time.perf_counter() - t0
+    assert dt < 20.0, "took %.1fs" % dt
+    pairs = as_sign_pairs(circuits)
+    assert len(pairs) == len(circuits)
+    assert all((q, p) in pairs for p, q in pairs)
+    assert len({c.support for c in circuits}) == len(circuits) // 2
+    assert all(len(c.support) <= n - k + 1 for c in circuits)
+    for c in rng.sample(circuits, 300):
+        assert is_circuit(basis, n, c.positive, c.negative), c
+
+
+def test_circuit_sign_self_check(monkeypatch):
+    # the walk reaches each support of this span twice in a row; every
+    # second leaf gets its lowest index moved to the negative side, a sign
+    # pattern that is neither the first one nor its negation
+    import stratachain.matroid as matroid
+    real = matroid._mask
+    state = {"calls": 0, "moved": 0}
+
+    def skewed(indices):
+        m = real(indices)
+        call = state["calls"] % 4
+        state["calls"] += 1
+        if call == 2:  # positive mask of every second leaf
+            state["moved"] = m & -m
+            return m ^ state["moved"]
+        if call == 3:  # its negative mask takes the moved index
+            return m | state["moved"]
+        return m
+
+    monkeypatch.setattr(matroid, "_mask", skewed)
+    with pytest.raises(InternalCheckError):
+        enumerate_circuits([(1, 1, 0, 0), (0, 0, 1, 1)], 4)
 
 
 def test_min_encoding_equals_naive_full_scan():
